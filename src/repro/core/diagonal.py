@@ -92,24 +92,16 @@ def estimate_D_mc(
 
     Nodes outside ``nodes`` get ``default`` (``1-c`` unless specified) — they
     carry zero weight in the backward phase because their π_i entries vanish.
-    ``engine`` picks the distributed (``spark``) or in-process (``local``)
-    walk runner; both consume identical seeds and thus return identical
-    counts.
+    All ``counts.sum()`` pairs run as one batch of pair-range chunks on
+    ``engine`` (``spark`` or ``local``); both engines walk the same chunks
+    with the same seeds and thus return identical counts.
     """
+    pair_walks.check_engine(engine)
     d_hat = np.full(graph.n, (1.0 - c) if default is None else default)
     if nodes.size == 0:
         return d_hat
-    assignments = pair_walks.make_assignments(
-        graph, nodes, counts, np.zeros(nodes.size, dtype=np.int64), seed
-    )
-    if engine == "spark":
-        res = pair_walks.simulate_pairs_spark(graph, assignments, c=c)
-    else:
-        res = pair_walks.simulate_pairs_local(graph, assignments, c=c)
-    res = res.set_index("node")
-    met = res["met"].reindex(nodes).to_numpy(dtype=np.float64)
-    tot = res["pairs"].reindex(nodes).to_numpy(dtype=np.float64)
-    d_hat[nodes] = 1.0 - met / tot
+    met = pair_walks.meet_counts(graph, nodes, counts, 0, c=c, seed=seed, engine=engine)
+    d_hat[nodes] = 1.0 - met / counts
     return d_hat
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core import diagonal, linearized, local_push
 from repro.graphs.graph import Graph
+from repro.walks import pair_walks
 
 
 @dataclass
@@ -71,13 +72,20 @@ def exactsim(
     """Answer a single-source SimRank query with additive error ``<= eps`` whp.
 
     ``walk_engine`` selects where the D-estimation walks run (``'spark'`` for
-    the distributed ``mapInPandas`` path, ``'local'`` in-process — identical
+    Spark tasks with the broadcast graph, ``'local'`` in-process — identical
     seeds, identical output).  The mat-vec phases use the numpy kernels; the
     DataFrame mat-vec engine is exercised and pinned equal in tests
     (DESIGN.md §3 layering).
     """
     if variant not in ("basic", "opt"):
         raise ValueError(f"unknown variant {variant!r}")
+    if not 0.0 < eps < 1.0:
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"decay factor c must lie in (0, 1), got {c!r}")
+    if max_pairs is not None and max_pairs < 1:
+        raise ValueError(f"max_pairs must be at least 1, got {max_pairs!r}")
+    pair_walks.check_engine(walk_engine)
     if not (0 <= source < graph.n):
         raise ValueError("source out of range")
     csr = graph.csr

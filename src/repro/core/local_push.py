@@ -17,22 +17,26 @@ deterministically bounded by ``c^{ℓ(k)}``, a node whose head went deep enough
 (``c^{ℓ(k)} <= skip_tol``) skips sampling entirely; on the lite graphs this is
 what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
 
-The driver parallelizes *across nodes* with ``mapInPandas`` + the broadcast
-CSR graph, grouping nodes with similar ``R(k)`` per partition — the paper's
-own parallelization prescription (§3.2 "Parallelization").
+:func:`estimate_D_local_push` computes heads per node — on Spark *across
+nodes* with the broadcast CSR graph, each task holding a similar mix of
+``R(k)``, the paper's own parallelization prescription (§3.2
+"Parallelization") — and then walks every node's tail pairs in one batch of
+pair-range chunks (``pair_walks.meet_counts``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 import pandas as pd
 
 from repro.graphs.graph import CSRGraph, Graph
 from repro.linalg import matvec as mv
-from repro.walks.pair_walks import pair_meet_count
+from repro.walks import pair_walks
+# simbench/tracing.py wraps ``local_push.pair_meet_count`` by name.
+from repro.walks.pair_walks import pair_meet_count  # noqa: F401
 
 #: Entries below this magnitude are dropped from sparse rows/Z vectors during
 #: expansion.  Introduces error << 1e-10 per node — far below ε_min — while
@@ -180,15 +184,16 @@ def estimate_node(
     r_k: int,
     *,
     c: float,
-    rng: np.random.Generator,
     skip_tol: float = 0.0,
 ) -> Tuple[float, int, int]:
-    """Full Algorithm 3 for one node: head + sampled tail.
+    """Algorithm 3's deterministic part for one node.
 
-    Returns ``(D̂(k,k), ℓ(k), pairs actually simulated)``.  Trivial in-degree
-    cases short-circuit (lines 1-4).  If the tail bound ``c^{ℓ(k)}`` is below
-    ``skip_tol`` the sampling step is skipped — the estimate is then
-    deterministic with error <= ``c^{ℓ(k)}``.
+    Returns ``(1 − head, ℓ(k), R'(k))``: the head-only ``D̂(k,k)``, its
+    depth, and the number of tail pairs still to walk.  The caller subtracts
+    the sampled tail ``c^{ℓ(k)}·met/R'(k)``.  Trivial in-degree cases
+    short-circuit (lines 1-4).  If the tail bound ``c^{ℓ(k)}`` is below
+    ``skip_tol`` no tail is sampled — the estimate is then deterministic
+    with error <= ``c^{ℓ(k)}``.
 
     The tail sample count is scaled down to ``R'(k) = ⌈c^{ℓ(k)} R(k)⌉``: the
     tail estimator's values live in ``{0, c^{ℓ(k)}}``, so its variance is
@@ -204,13 +209,8 @@ def estimate_node(
         return 1.0 - c, 0, 0
     budget = int(math.ceil(2.0 * r_k / math.sqrt(c)))
     head = meeting_head(csr, k, c=c, budget_edges=budget)
-    d_hat = 1.0 - head.z_sum
-    if c**head.ell <= skip_tol:
-        return d_hat, head.ell, 0
-    r_sim = int(math.ceil(r_k * c**head.ell))
-    met = pair_meet_count(csr, k, r_sim, c=c, rng=rng, nonstop_steps=head.ell)
-    d_hat -= (c**head.ell) * met / max(r_sim, 1)
-    return d_hat, head.ell, r_sim
+    r_tail = 0 if c**head.ell <= skip_tol else int(math.ceil(r_k * c**head.ell))
+    return 1.0 - head.z_sum, head.ell, r_tail
 
 
 # ---------------------------------------------------------------------------
@@ -232,54 +232,43 @@ def estimate_D_local_push(
     """Estimate ``D̂`` for the given nodes with Algorithm 3.
 
     Returns the dense ``D̂`` vector plus a per-node stats frame
-    ``(node, d_hat, ell, pairs)``.  The Spark engine partitions nodes sorted
-    by ``R(k)`` so tasks carry similar budgets (the paper's load-balancing
-    rule); seeds are per-node so both engines agree exactly.
+    ``(node, d_hat, ell, pairs)``, ``pairs`` being the tail pairs walked.
+    Heads run per node; on the Spark engine nodes are dealt to tasks by
+    ``R(k)`` rank so tasks carry similar budgets (the paper's load-balancing
+    rule).  Then every node's tail pairs run as one batch of pair-range
+    chunks, which both engines walk with the same seeds, so they agree
+    exactly.
     """
+    pair_walks.check_engine(engine)
     order = np.argsort(counts, kind="stable")[::-1]
-    nodes, counts = nodes[order], counts[order]
     work = pd.DataFrame(
-        {
-            "node": nodes.astype(np.int64),
-            "r_k": counts.astype(np.int64),
-            "seed": ((seed * 1_000_003 + nodes) & 0x7FFFFFFF).astype(np.int64),
-        }
+        {"node": nodes[order].astype(np.int64), "r_k": counts[order].astype(np.int64)}
     )
 
-    def run_chunk(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for row in pdf.itertuples(index=False):
-            rng = np.random.default_rng(int(row.seed))
-            d_hat, ell, pairs = estimate_node(
-                csr, int(row.node), int(row.r_k), c=c, rng=rng, skip_tol=skip_tol
-            )
-            out.append((int(row.node), d_hat, ell, pairs))
+    def run_heads(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
+        out = [
+            (k, *estimate_node(csr, k, r_k, c=c, skip_tol=skip_tol))
+            for k, r_k in zip(pdf["node"].tolist(), pdf["r_k"].tolist())
+        ]
         return pd.DataFrame(out, columns=["node", "d_hat", "ell", "pairs"])
 
-    if engine == "spark":
-        bc = graph.broadcast_csr()
-        spark = graph.spark
-        par = max(2, spark.sparkContext.defaultParallelism)
-        # Round-robin by budget rank → partitions hold similar R(k) mixes.
-        work = work.assign(part=np.arange(len(work)) % par)
-        wdf = spark.createDataFrame(work, schema="node long, r_k long, seed long, part long")
-        wdf = wdf.repartition(par, "part")
-
-        def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            csr = bc.value
-            for pdf in batches:
-                yield run_chunk(csr, pdf)
-
-        stats = (
-            wdf.mapInPandas(run, schema="node long, d_hat double, ell long, pairs long")
-            .toPandas()
-            .sort_values("node")
-            .reset_index(drop=True)
-        )
+    if engine == "spark" and len(work):
+        par = max(2, graph.spark.sparkContext.defaultParallelism)
+        # Round-robin by budget rank → tasks hold similar R(k) mixes.
+        parts = [work.iloc[t::par] for t in range(min(par, len(work)))]
+        stats = pair_walks.run_spark_tasks(graph, parts, run_heads)
     else:
-        stats = (
-            run_chunk(graph.csr, work).sort_values("node").reset_index(drop=True)
-        )
+        stats = run_heads(graph.csr, work)
+    stats = stats.sort_values("node").reset_index(drop=True)
+
+    tail = stats[stats["pairs"] > 0]
+    r_tail = tail["pairs"].to_numpy()
+    ell = tail["ell"].to_numpy()
+    met = pair_walks.meet_counts(
+        graph, tail["node"].to_numpy(), r_tail, ell, c=c, seed=seed, engine=engine
+    )
+    stats.loc[tail.index, "d_hat"] -= np.power(c, ell) * met / r_tail
+
     d = np.full(graph.n, (1.0 - c) if default is None else default)
     d[stats["node"].to_numpy()] = stats["d_hat"].to_numpy()
     return d, stats

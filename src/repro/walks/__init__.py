@@ -1,2 +1,2 @@
 """√c-walk simulation kernels: pair walks (D estimation) and trace indexes
-(MC baseline), both mapInPandas-distributable."""
+(MC baseline), both distributable over Spark tasks."""

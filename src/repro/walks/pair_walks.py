@@ -11,27 +11,95 @@ The paper's D-estimators simulate *pairs* of √c-walks from a node ``v_k``:
   the rest whose √c-continuations meet, scaled by ``c^{ℓ0}``, estimates the
   tail ``Σ_{ℓ>ℓ0} Z_ℓ(k)`` (see DESIGN.md and the Lemma 4 discussion).
 
-``meet_fractions`` is the vectorized numpy kernel (arrays shrink as pairs
-finish; expected √c-walk length is ``1/(1-√c) ≈ 4.4`` steps so the loop is
-short).  ``simulate_pairs_spark`` distributes it with ``mapInPandas`` over a
-DataFrame of per-node chunk assignments and the broadcast CSR graph — the
-paper's "embarrassingly parallel" phase, load-balanced by chunking ``R(k)``.
+:func:`meet_flags` is the one walk kernel: it walks an arbitrary batch of
+pairs, each with its own start node and non-stop prefix, as shrinking numpy
+arrays (expected √c-walk length is ``1/(1-√c) ≈ 4.4`` steps, so the loop is
+short).  Every D̂ estimator reaches it through :func:`meet_counts`, which
+lays all of a query's pairs end to end and cuts them into fixed-size
+*pair-range* chunks (:func:`make_assignments`), one seed per chunk.  The
+engines differ only in where a chunk runs: in-process
+(:func:`simulate_pairs_local`) or in a Spark task with the broadcast CSR
+graph (:func:`simulate_pairs_spark`) — the paper's "embarrassingly
+parallel" phase.  Both run the same chunk list, so their counts are
+bit-identical.
 """
 from __future__ import annotations
 
-import math
-from typing import Iterator
+from typing import Callable, List
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.graph import CSRGraph, Graph
 
 #: Hard cap on walk length: the probability a √c-walk pair survives t steps is
 #: c^t, so the truncation bias at 300 steps is ~1e-66 — far below ε_min.
 MAX_STEPS = 300
+
+#: Where a batch of pair walks can run.
+ENGINES = ("local", "spark")
+
+#: Pairs per chunk: one kernel call and one seed each.  Large enough that
+#: numpy amortizes its per-call overhead, small enough that a chunk's arrays
+#: stay a few MB and Spark tasks balance.
+CHUNK = 1 << 16
+
+
+def check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"unknown walk engine {engine!r}; expected one of {ENGINES}")
+
+
+def meet_flags(
+    csr: CSRGraph,
+    starts: np.ndarray,
+    nonstop: np.ndarray | int,
+    *,
+    c: float,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Which pairs meet: pair ``i`` walks two walks from ``starts[i]``.
+
+    The first ``nonstop[i]`` steps always move (Algorithm 3's non-stop
+    prefix); a coincidence there discards the pair.  After the prefix both
+    walks continue with prob ``√c`` each; since a pair goes on only if both
+    do, one ``< c`` draw stands for the two ``< √c`` draws.  A pair meets
+    when its walks land on the same node after the prefix.  A walk at a node
+    without in-neighbors stops, and its pair never meets.
+    """
+    pos_a = pos_b = np.asarray(starts, dtype=np.int64)
+    n = pos_a.shape[0]
+    met = np.zeros(n, dtype=bool)
+    alive = np.arange(n)
+    ns = np.broadcast_to(np.asarray(nonstop, dtype=np.int64), (n,))
+    ns_max = int(ns.max()) if n else 0
+    din, indptr, nbr = csr.din, csr.in_indptr, csr.in_neighbors
+    for step in range(1, MAX_STEPS + 1):
+        if alive.shape[0] == 0:
+            break
+        da = din[pos_a]
+        db = din[pos_b]
+        cont = (da > 0) & (db > 0)
+        # Once every pair is past its prefix, ``ns`` is no longer needed;
+        # skipping its bookkeeping measured 8-27% faster on plain √c batches.
+        if step > ns_max:
+            cont &= rng.random(alive.shape[0]) < c
+        else:
+            cont &= (step <= ns) | (rng.random(alive.shape[0]) < c)
+            ns = ns[cont]
+        alive, pos_a, pos_b, da, db = alive[cont], pos_a[cont], pos_b[cont], da[cont], db[cont]
+        # floor(u·d) with u ∈ [0, 1) is a uniform in-neighbor index.
+        u = rng.random((2, alive.shape[0]))
+        pos_a = nbr[indptr[pos_a] + (u[0] * da).astype(np.int64)]
+        pos_b = nbr[indptr[pos_b] + (u[1] * db).astype(np.int64)]
+        coincide = pos_a == pos_b
+        if step > ns_max:
+            met[alive[coincide]] = True
+        else:
+            met[alive[coincide & (step > ns)]] = True
+            ns = ns[~coincide]
+        alive, pos_a, pos_b = alive[~coincide], pos_a[~coincide], pos_b[~coincide]
+    return met
 
 
 def pair_meet_count(
@@ -43,85 +111,102 @@ def pair_meet_count(
     rng: np.random.Generator,
     nonstop_steps: int = 0,
 ) -> int:
-    """Number of the ``pairs`` simulated pairs from ``start`` that meet.
+    """Number of ``pairs`` pairs from one node ``start`` that meet.
 
     With ``nonstop_steps == 0`` this is Algorithm 2's meeting count.  With
     ``nonstop_steps == ℓ0 > 0`` it counts pairs that complete the non-stop
     prefix un-met and whose √c-continuations then meet (Algorithm 3 lines
     22-27); the caller scales by ``c^{ℓ0}``.
     """
-    if pairs <= 0:
-        return 0
-    sqrt_c = math.sqrt(c)
-    pos_a = np.full(pairs, start, dtype=np.int64)
-    pos_b = pos_a.copy()
-    met = 0
-    for step in range(1, MAX_STEPS + 1):
-        k = pos_a.shape[0]
-        if k == 0:
-            break
-        da = csr.din[pos_a]
-        db = csr.din[pos_b]
-        if step <= nonstop_steps:
-            cont = (da > 0) & (db > 0)
-        else:
-            cont = (
-                (da > 0)
-                & (db > 0)
-                & (rng.random(k) < sqrt_c)
-                & (rng.random(k) < sqrt_c)
-            )
-        pos_a = pos_a[cont]
-        pos_b = pos_b[cont]
-        if pos_a.shape[0] == 0:
-            break
-        da = csr.din[pos_a]
-        db = csr.din[pos_b]
-        pos_a = csr.in_neighbors[csr.in_indptr[pos_a] + rng.integers(0, da)]
-        pos_b = csr.in_neighbors[csr.in_indptr[pos_b] + rng.integers(0, db)]
-        coincide = pos_a == pos_b
-        if step > nonstop_steps:
-            met += int(np.count_nonzero(coincide))
-        # A coincidence inside the non-stop prefix means first meeting <= ℓ0,
-        # already handled deterministically: the pair is discarded (counts 0).
-        pos_a = pos_a[~coincide]
-        pos_b = pos_b[~coincide]
-    return met
+    starts = np.full(max(pairs, 0), start, dtype=np.int64)
+    return int(np.count_nonzero(meet_flags(csr, starts, nonstop_steps, c=c, rng=rng)))
 
 
 # ---------------------------------------------------------------------------
-# Distributed driver
+# Pair-range chunks and the engines that run them
 # ---------------------------------------------------------------------------
-
-#: Pairs per task row — small enough to balance load across cores, large
-#: enough that the numpy kernel amortizes per-row overhead.
-CHUNK = 200_000
 
 
 def make_assignments(
     graph: Graph, nodes: np.ndarray, pairs: np.ndarray, nonstop: np.ndarray, seed: int
 ) -> pd.DataFrame:
-    """Chunked (node, pairs, nonstop, seed) rows for the walk stage.
+    """The pair-range chunks of a batch, as (node, pairs, nonstop, chunk, offset, seed) rows.
 
-    Deterministic: each chunk's seed derives from ``(seed, node, chunk idx)``
-    so re-running the same configuration replays the same walks.
+    Node ``nodes[i]`` owns ``pairs[i]`` consecutive pairs of one global pair
+    range, in input order.  Chunk ``j`` is the range ``[j·CHUNK, (j+1)·CHUNK)``;
+    a node whose pairs straddle a chunk boundary gets one row in each chunk
+    it touches.  ``offset`` is a row's first global pair index, which orders
+    the rows of a chunk.  Every row of chunk ``j`` carries the seed derived
+    from ``(seed, j)``, so re-running the same batch replays the same walks.
     """
-    rows = []
-    for k, r, l0 in zip(nodes.tolist(), pairs.tolist(), nonstop.tolist()):
-        chunk_idx = 0
-        while r > 0:
-            take = min(r, CHUNK)
-            rows.append(
-                (
-                    int(k),
-                    int(take),
-                    int(l0),
-                    int((seed * 1_000_003 + k) * 97 + chunk_idx) & 0x7FFFFFFF,
-                )
-            )
-            r -= take
-            chunk_idx += 1
-    return pd.DataFrame(rows, columns=["node", "pairs", "nonstop", "seed"])
+    pairs = np.asarray(pairs, dtype=np.int64)
+    keep = pairs > 0
+    nodes = np.asarray(nodes, dtype=np.int64)[keep]
+    nonstop = np.broadcast_to(np.asarray(nonstop, dtype=np.int64), keep.shape)[keep]
+    ends = np.cumsum(pairs[keep])
+    total = int(ends[-1]) if ends.size else 0
+    # Rows start at every node start and every chunk start.
+    offset = np.union1d(ends[:-1], np.arange(CHUNK, total, CHUNK))
+    offset = np.concatenate([[0], offset]) if total else offset
+    owner = np.searchsorted(ends, offset, side="right")
+    chunk = offset // CHUNK
+    return pd.DataFrame(
+        {
+            "node": nodes[owner],
+            "pairs": np.diff(np.append(offset, total)),
+            "nonstop": nonstop[owner],
+            "chunk": chunk,
+            "offset": offset,
+            "seed": (seed * 1_000_003 + chunk) & 0x7FFFFFFF,
+        }
+    )
+
+
+def _walk_chunks(csr: CSRGraph, rows: pd.DataFrame, c: float) -> pd.DataFrame:
+    """Walk whole chunks; return each row's (node, nonstop, met, pairs).
+
+    ``rows`` must hold every row of each chunk it touches.  A chunk's pairs
+    follow its rows in ``offset`` order; the owner of each pair is built per
+    chunk, so no array spans more than ``CHUNK`` pairs.
+    """
+    rows = rows.sort_values("offset", kind="stable")
+    node = rows["node"].to_numpy(np.int64)
+    nonstop = rows["nonstop"].to_numpy(np.int64)
+    pairs = rows["pairs"].to_numpy(np.int64)
+    seed = rows["seed"].to_numpy(np.int64)
+    first = np.flatnonzero(np.diff(rows["chunk"].to_numpy(), prepend=-1))
+    met = np.zeros(node.size, dtype=np.int64)
+    for lo, hi in zip(first, [*first[1:], node.size]):
+        owner = np.repeat(np.arange(hi - lo), pairs[lo:hi])
+        flags = meet_flags(
+            csr,
+            node[lo:hi][owner],
+            nonstop[lo:hi][owner],
+            c=c,
+            rng=np.random.default_rng(int(seed[lo])),
+        )
+        met[lo:hi] = np.bincount(owner[flags], minlength=hi - lo)
+    return pd.DataFrame({"node": node, "nonstop": nonstop, "met": met, "pairs": pairs})
+
+
+def run_spark_tasks(
+    graph: Graph,
+    parts: List[pd.DataFrame],
+    fn: Callable[[CSRGraph, pd.DataFrame], pd.DataFrame],
+) -> pd.DataFrame:
+    """``fn(csr, part)`` for every frame of ``parts``, one Spark task each.
+
+    The CSR graph rides a Spark broadcast.  The caller decides what each
+    task holds, so no shuffle is needed to balance or group the work.
+    """
+    bc = graph.broadcast_csr()
+    tasks = graph.spark.sparkContext.parallelize(parts, len(parts))
+    out = tasks.map(lambda part: fn(bc.value, part)).collect()
+    return pd.concat(out, ignore_index=True)
+
+
+def _sum_by_node(res: pd.DataFrame) -> pd.DataFrame:
+    return res.groupby(["node", "nonstop"], as_index=False)[["met", "pairs"]].sum()
 
 
 def simulate_pairs_spark(
@@ -130,73 +215,49 @@ def simulate_pairs_spark(
     *,
     c: float,
 ) -> pd.DataFrame:
-    """Run the pair-walk kernel for every assignment row on the cluster.
+    """Walk every chunk of ``assignments`` on the cluster.
 
     Returns one row per (node, nonstop) with summed ``met``/``pairs`` counts.
-    The CSR graph rides a Spark broadcast; each task simulates its chunks with
-    the vectorized kernel, which is the paper's multi-core parallelization of
-    the random-walk phase.
+    Chunk ``j`` goes to task ``j mod parallelism``, so each task walks whole
+    chunks and the tasks' pair counts differ by at most one chunk — the
+    paper's multi-core parallelization of the random-walk phase.
     """
-    bc = graph.broadcast_csr()
-    spark = graph.spark
-    adf = spark.createDataFrame(
-        assignments, schema="node long, pairs long, nonstop long, seed long"
-    ).repartition(max(2, spark.sparkContext.defaultParallelism))
-
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        csr = bc.value
-        for pdf in batches:
-            out = []
-            for row in pdf.itertuples(index=False):
-                rng = np.random.default_rng(int(row.seed))
-                met = pair_meet_count(
-                    csr,
-                    int(row.node),
-                    int(row.pairs),
-                    c=c,
-                    rng=rng,
-                    nonstop_steps=int(row.nonstop),
-                )
-                out.append((row.node, row.nonstop, met, row.pairs))
-            yield pd.DataFrame(
-                out, columns=["node", "nonstop", "met", "pairs"]
-            )
-
-    res = adf.mapInPandas(
-        run, schema="node long, nonstop long, met long, pairs long"
-    )
-    agg = (
-        res.groupBy("node", "nonstop")
-        .agg(F.sum("met").alias("met"), F.sum("pairs").alias("pairs"))
-        .toPandas()
-    )
-    return agg
+    par = max(2, graph.spark.sparkContext.defaultParallelism)
+    task = assignments["chunk"].to_numpy() % par
+    parts = [assignments[task == t] for t in np.unique(task)]
+    res = run_spark_tasks(graph, parts, lambda csr, rows: _walk_chunks(csr, rows, c))
+    return _sum_by_node(res)
 
 
 def simulate_pairs_local(
     graph: Graph, assignments: pd.DataFrame, *, c: float
 ) -> pd.DataFrame:
-    """Same contract as :func:`simulate_pairs_spark`, single-process.
+    """Same contract as :func:`simulate_pairs_spark`, in-process.
 
-    Used by unit tests (no Spark needed) and as the reference the Spark path
-    must agree with (identical seeds ⇒ identical counts).
+    Walks the same chunks with the same seeds, so its counts equal the Spark
+    engine's exactly.
     """
-    csr = graph.csr
-    out = []
-    for row in assignments.itertuples(index=False):
-        rng = np.random.default_rng(int(row.seed))
-        met = pair_meet_count(
-            csr,
-            int(row.node),
-            int(row.pairs),
-            c=c,
-            rng=rng,
-            nonstop_steps=int(row.nonstop),
-        )
-        out.append((row.node, row.nonstop, met, row.pairs))
-    pdf = pd.DataFrame(out, columns=["node", "nonstop", "met", "pairs"])
-    return (
-        pdf.groupby(["node", "nonstop"], as_index=False)[["met", "pairs"]]
-        .sum()
-        .astype({"node": "int64", "nonstop": "int64", "met": "int64", "pairs": "int64"})
-    )
+    return _sum_by_node(_walk_chunks(graph.csr, assignments, c))
+
+
+def meet_counts(
+    graph: Graph,
+    nodes: np.ndarray,
+    pairs: np.ndarray,
+    nonstop: np.ndarray | int,
+    *,
+    c: float,
+    seed: int,
+    engine: str,
+) -> np.ndarray:
+    """Met pairs per node: ``pairs[i]`` pairs from ``nodes[i]`` (distinct nodes).
+
+    All pairs of the batch run as pair-range chunks on ``engine``.
+    """
+    check_engine(engine)
+    if not np.any(np.asarray(pairs) > 0):
+        return np.zeros(len(nodes), dtype=np.int64)
+    assignments = make_assignments(graph, nodes, pairs, nonstop, seed)
+    run = simulate_pairs_spark if engine == "spark" else simulate_pairs_local
+    res = run(graph, assignments, c=c)
+    return res.set_index("node")["met"].reindex(nodes, fill_value=0).to_numpy(np.int64)

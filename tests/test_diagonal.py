@@ -150,6 +150,12 @@ def test_estimate_D_mc_deterministic_in_seed():
     np.testing.assert_array_equal(a, b)
 
 
+def test_estimate_D_mc_rejects_unknown_engine():
+    g = gen.tiny_star(4)
+    with pytest.raises(ValueError, match="unknown walk engine"):
+        diagonal.estimate_D_mc(g, np.array([0]), np.array([100]), c=C, seed=1, engine="sparkk")
+
+
 def test_estimate_D_mc_spark_engine_matches_local(spark):
     g = gen.load("GQ-lite", spark)
     nodes = np.arange(30, dtype=np.int64)

@@ -104,6 +104,37 @@ def test_invalid_args():
         exactsim(g, 10**6, eps=1e-2)
 
 
+@pytest.mark.parametrize("eps", [2.0, 1.0, 0.0, -1e-3, float("nan")])
+def test_eps_outside_unit_interval_rejected(eps):
+    with pytest.raises(ValueError, match="eps must lie in"):
+        exactsim(gen.load("GQ-lite"), 0, eps=eps)
+
+
+@pytest.mark.parametrize("c", [1.5, 1.0, 0.0])
+def test_decay_outside_unit_interval_rejected(c):
+    with pytest.raises(ValueError, match="decay factor c"):
+        exactsim(gen.load("GQ-lite"), 0, eps=1e-2, c=c)
+
+
+@pytest.mark.parametrize("max_pairs", [0, -5])
+def test_max_pairs_below_one_rejected(max_pairs):
+    with pytest.raises(ValueError, match="max_pairs"):
+        exactsim(gen.load("GQ-lite"), 0, eps=1e-2, max_pairs=max_pairs)
+
+
+@pytest.mark.parametrize("variant", ["basic", "opt"])
+def test_unknown_walk_engine_rejected(variant):
+    with pytest.raises(ValueError, match="unknown walk engine"):
+        exactsim(gen.load("GQ-lite"), 0, eps=1e-1, variant=variant, walk_engine="sparkk")
+
+
+def test_opt_on_graph_without_tail_pairs():
+    """On a directed cycle every in-degree is 1, so no node walks a tail."""
+    r = exactsim(gen.tiny_cycle(4), 0, eps=1e-2, variant="opt")
+    assert r.pairs_simulated == 0
+    assert np.abs(r.scores - np.eye(4)[0]).max() < 1e-2
+
+
 def test_walk_engine_spark_matches_local(spark):
     g = gen.load("GQ-lite", spark)
     a = exactsim(g, 2, eps=1e-2, variant="opt", seed=8, max_pairs=100_000,

@@ -1,4 +1,6 @@
 """Algorithm 3: Lemma-4 heads, adaptive budgets, tail sampling, Spark driver."""
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from repro.core import diagonal, local_push
 from tests.helpers import exact_d
 from repro.graphs import generators as gen
 from repro.graphs.graph import from_edges
+from repro.walks import pair_walks
 
 C = 0.6
 TINY = [gen.tiny_cycle(4), gen.tiny_star(3), gen.tiny_star(5)]
@@ -97,39 +100,37 @@ def test_z_recursion_vs_brute_force_paths():
 
 def test_estimate_node_trivial_cases():
     g = from_edges("chain", 3, np.array([0, 1]), np.array([1, 2]), directed=True)
-    rng = np.random.default_rng(0)
-    assert local_push.estimate_node(g.csr, 0, 100, c=C, rng=rng) == (1.0, 0, 0)
-    d, ell, pairs = local_push.estimate_node(g.csr, 1, 100, c=C, rng=rng)
+    assert local_push.estimate_node(g.csr, 0, 100, c=C) == (1.0, 0, 0)
+    d, ell, pairs = local_push.estimate_node(g.csr, 1, 100, c=C)
     assert d == pytest.approx(1 - C) and pairs == 0
 
 
 def test_estimate_node_with_generous_budget_is_nearly_exact():
     g = gen.tiny_star(4)
     d_exact = diagonal.exact_diagonal(g, c=C, tol=1e-13)
-    rng = np.random.default_rng(1)
-    d, ell, pairs = local_push.estimate_node(
-        g.csr, 0, 100_000, c=C, rng=rng, skip_tol=1e-9
-    )
+    d, ell, pairs = local_push.estimate_node(g.csr, 0, 100_000, c=C, skip_tol=1e-9)
+    # Whatever tail is left to sample is at most c^ell.
+    assert C**ell < 1e-6
     assert abs(d - d_exact[0]) < 1e-6
 
 
 def test_estimate_node_skip_tol_skips_sampling():
     g = gen.tiny_star(4)
-    rng = np.random.default_rng(1)
-    d, ell, pairs = local_push.estimate_node(
-        g.csr, 0, 100_000, c=C, rng=rng, skip_tol=0.9
-    )
+    d, ell, pairs = local_push.estimate_node(g.csr, 0, 100_000, c=C, skip_tol=0.9)
     assert pairs == 0  # c^ell <= 0.9 already after one level
 
 
 def test_estimate_node_small_budget_falls_back_to_sampling():
     g = gen.load("GQ-lite")
     d_exact = exact_d("GQ-lite")
-    rng = np.random.default_rng(2)
     # Hub node with a tiny budget: shallow head, tail mostly sampled.
-    d, ell, pairs = local_push.estimate_node(g.csr, 0, 2000, c=C, rng=rng)
+    d_head, ell, pairs = local_push.estimate_node(g.csr, 0, 2000, c=C)
     assert pairs > 0
-    assert abs(d - d_exact[0]) < 0.05
+    # The head alone over-estimates D by the tail, which is at most c^ell.
+    assert -1e-9 <= d_head - d_exact[0] <= C**ell
+    rng = np.random.default_rng(2)
+    met = pair_walks.pair_meet_count(g.csr, 0, pairs, c=C, rng=rng, nonstop_steps=ell)
+    assert abs(d_head - C**ell * met / pairs - d_exact[0]) < 0.05
 
 
 def test_estimate_D_local_push_close_to_exact():
@@ -143,6 +144,89 @@ def test_estimate_D_local_push_close_to_exact():
     assert np.abs(d_hat - d_exact).max() < 0.02
     assert set(stats.columns) == {"node", "d_hat", "ell", "pairs"}
     assert len(stats) == g.n
+
+
+def test_estimate_D_local_push_tails_unbiased():
+    """Shallow heads leave every node a sampled tail; the batched tails must
+    remove the heads' bias.  The mean error over all nodes is checked against
+    5σ, σ computed from each node's exact tail probability, so the flake
+    bound is < 1e-6; the head-only bias is many σ away."""
+    g = gen.load("GQ-lite")
+    d_exact = exact_d("GQ-lite")
+    nodes = np.arange(g.n, dtype=np.int64)
+    R = 200
+    d_hat, stats = local_push.estimate_D_local_push(
+        g, nodes, np.full(g.n, R, dtype=np.int64), c=C, seed=4
+    )
+    head = np.array([local_push.estimate_node(g.csr, k, R, c=C)[0] for k in range(g.n)])
+    ell, r_tail = stats["ell"].to_numpy(), stats["pairs"].to_numpy()
+    assert (r_tail > 0).all()
+    q = np.clip((head - d_exact) / C**ell, 0.0, 1.0)
+    sigma = math.sqrt(np.sum(C ** (2 * ell) * q * (1 - q) / r_tail)) / g.n
+    assert abs(np.mean(d_hat - d_exact)) <= 5 * sigma
+    assert np.mean(head - d_exact) > 10 * sigma
+
+
+def test_estimate_D_local_push_tail_pairs_straddle_chunks(monkeypatch):
+    """All tails run in one batch spanning several chunks; every node walks
+    exactly its R'(k) pairs, including nodes cut by a chunk boundary."""
+    g = gen.load("GQ-lite")
+    walked = []
+    run = pair_walks.simulate_pairs_local
+
+    def spy(graph, assignments, *, c):
+        walked.append(assignments)
+        return run(graph, assignments, c=c)
+
+    monkeypatch.setattr(pair_walks, "simulate_pairs_local", spy)
+    nodes = np.arange(g.n, dtype=np.int64)
+    counts = np.full(g.n, 3000, dtype=np.int64)
+    d_hat, stats = local_push.estimate_D_local_push(g, nodes, counts, c=C, seed=5)
+    (asg,) = walked
+    assert asg["chunk"].nunique() > 1
+    assert (asg.groupby("node")["nonstop"].nunique() == 1).all()
+    assert (asg.groupby("node")["chunk"].nunique() > 1).any()
+    per_node = asg.groupby("node")["pairs"].sum()
+    tail = stats[stats["pairs"] > 0].set_index("node")["pairs"]
+    assert per_node.to_dict() == tail.to_dict()
+    assert stats["pairs"].sum() == asg["pairs"].sum()
+
+
+@pytest.mark.parametrize("engine", pair_walks.ENGINES)
+def test_estimate_D_local_push_without_tail_pairs(engine, request):
+    """No node has a tail to walk: every in-degree is <= 1 (a cycle), or
+    ``skip_tol`` skips every tail.  D̂ is then the head-only estimate."""
+    spark = request.getfixturevalue("spark") if engine == "spark" else None
+    for g, skip_tol in [(gen.tiny_cycle(4, spark), 0.0), (gen.load("GQ-lite", spark), 1.0)]:
+        nodes = np.arange(min(g.n, 40), dtype=np.int64)
+        counts = np.full(nodes.size, 500, dtype=np.int64)
+        d_hat, stats = local_push.estimate_D_local_push(
+            g, nodes, counts, c=C, seed=2, skip_tol=skip_tol, engine=engine
+        )
+        head = [
+            local_push.estimate_node(g.csr, k, 500, c=C, skip_tol=skip_tol)[0]
+            for k in nodes
+        ]
+        assert (stats["pairs"] == 0).all()
+        np.testing.assert_array_equal(d_hat[nodes], head)
+
+
+def test_estimate_D_local_push_same_seed_same_bits():
+    g = gen.load("GQ-lite")
+    nodes = np.arange(100, dtype=np.int64)
+    counts = np.linspace(10, 20_000, 100).astype(np.int64)
+    d_a, st_a = local_push.estimate_D_local_push(g, nodes, counts, c=C, seed=3)
+    d_b, st_b = local_push.estimate_D_local_push(g, nodes, counts, c=C, seed=3)
+    np.testing.assert_array_equal(d_a, d_b)
+    assert st_a.equals(st_b)
+
+
+def test_estimate_D_local_push_rejects_unknown_engine():
+    g = gen.tiny_star(4)
+    with pytest.raises(ValueError, match="unknown walk engine"):
+        local_push.estimate_D_local_push(
+            g, np.array([0]), np.array([100]), c=C, seed=1, engine="sparkk"
+        )
 
 
 def test_estimate_D_local_push_spark_matches_local(spark):
