@@ -3,7 +3,7 @@
 Two variants share the linearized engine and differ exactly where the paper
 says they do:
 
-* ``variant='basic'`` — dense forward vectors, sample budget
+* ``variant='basic'`` — untruncated forward vectors, sample budget
   ``R = 6 log n/((1-√c)⁴ε²)`` allocated ``∝ π_i(k)``, ``D̂`` from Algorithm 2
   (plain pair walks).
 * ``variant='opt'`` — internal error split ε → ε/2 (Lemma 2), sparse forward
@@ -73,9 +73,8 @@ def exactsim(
 
     ``walk_engine`` selects where the D-estimation walks run (``'spark'`` for
     Spark tasks with the broadcast graph, ``'local'`` in-process — identical
-    seeds, identical output).  The mat-vec phases use the numpy kernels; the
-    DataFrame mat-vec engine is exercised and pinned equal in tests
-    (DESIGN.md §3 layering).
+    seeds, identical output).  The forward and backward phases run the
+    numpy kernels in-process (DESIGN.md §3 layering).
     """
     if variant not in ("basic", "opt"):
         raise ValueError(f"unknown variant {variant!r}")

@@ -11,11 +11,11 @@ the truncation error by ``c^L <= ε/2``.
 
 The forward vectors are what costs memory (``O(n log 1/ε)`` dense); the
 *sparse* mode drops entries ``<= (1-√c)²ε`` after each hop (Lemma 2), bounding
-storage by ``O(1/ε)`` at an extra ``ε`` additive error.  ``ForwardResult``
-carries exact stored-entry accounting for the Table-3 reproduction.
-
-Both phases exist in the numpy engine and in the Spark DataFrame engine
-(message-passing mat-vecs from ``linalg.matvec``); tests pin their agreement.
+storage by ``O(1/ε)`` at an extra ``ε`` additive error.  The forward is a
+level-wise local push (``matvec.expand_sparse``) for every threshold, so its
+cost follows the stored support; ``ForwardResult`` keeps the levels as sparse
+``(idx, val)`` pairs with exact stored-entry accounting for the Table-3
+reproduction.  The backward phase stays a dense ``Pᵀ`` recurrence.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.graphs.graph import CSRGraph, Graph
+from repro.graphs.graph import CSRGraph
 from repro.linalg import matvec as mv
 
 
@@ -41,20 +41,33 @@ def sparse_threshold(eps: float, c: float) -> float:
 
 @dataclass
 class ForwardResult:
-    """ℓ-hop PPR vectors of the source plus space accounting."""
+    """ℓ-hop PPR vectors of the source as sparse levels, plus accounting."""
 
-    pis: List[np.ndarray]  # π_i^ℓ for ℓ = 0..L (dense arrays, possibly truncated)
-    pi: np.ndarray  # Σ_ℓ π_i^ℓ — the PPR vector of the source
-    stored_entries: int  # Σ_ℓ nnz(π_i^ℓ) after truncation
-    threshold: float  # the truncation threshold applied (0.0 = dense mode)
+    levels: List[mv.SparseVec]  # π_i^ℓ for ℓ = 0..L; levels that died out are empty
+    n: int  # number of nodes (the dense vector length)
+    edges: int  # edges traversed by the level pushes
+    threshold: float  # the truncation threshold applied (0.0 = untruncated)
 
     @property
     def L(self) -> int:
-        return len(self.pis) - 1
+        return len(self.levels) - 1
+
+    @property
+    def stored_entries(self) -> int:
+        """Σ_ℓ nnz(π_i^ℓ) after truncation."""
+        return sum(idx.size for idx, _ in self.levels)
+
+    @property
+    def pi(self) -> np.ndarray:
+        """Σ_ℓ π_i^ℓ — the (dense) PPR vector of the source, built on demand."""
+        pi = np.zeros(self.n)
+        for idx, val in self.levels:
+            pi[idx] += val
+        return pi
 
     def dense_bytes(self) -> int:
         """Basic-ExactSim footprint: (L+1) dense double vectors."""
-        return (self.L + 1) * self.pis[0].shape[0] * 8
+        return (self.L + 1) * self.n * 8
 
     def sparse_bytes(self) -> int:
         """Optimized footprint: stored (index, value) pairs only."""
@@ -69,26 +82,29 @@ def forward(
     L: int,
     threshold: float = 0.0,
 ) -> ForwardResult:
-    """Compute ``π_i^ℓ`` for ℓ = 0..L (numpy engine).
+    """Compute ``π_i^ℓ`` for ℓ = 0..L by a level-wise local push.
 
-    ``threshold > 0`` applies the Lemma-2 sparsification after every hop:
-    entries ``<= threshold`` are zeroed *before* being stored or propagated,
-    which is what bounds both the space and the downstream work.
+    Each hop pushes the surviving entries of the previous level along the
+    reversed edges (``matvec.expand_sparse``), so a hop costs the in-degree
+    sum of its support, not ``m``.  ``threshold > 0`` applies the Lemma-2
+    sparsification after every hop: entries ``<= threshold`` are dropped
+    *before* being stored or propagated, which is what bounds both the space
+    and the downstream work.
     """
     sqrt_c = math.sqrt(c)
-    pi0 = np.zeros(csr.n)
-    pi0[source] = 1.0 - sqrt_c
-    pis = [pi0]
-    stored = 1
-    cur = pi0
-    for _ in range(L):
-        cur = sqrt_c * mv.matvec_P(csr, cur)
-        if threshold > 0.0:
-            cur = np.where(cur > threshold, cur, 0.0)
-        pis.append(cur)
-        stored += int(np.count_nonzero(cur))
-    pi = np.sum(pis, axis=0)
-    return ForwardResult(pis=pis, pi=pi, stored_entries=stored, threshold=threshold)
+    idx = np.array([source], dtype=np.int64)
+    val = np.array([1.0 - sqrt_c])
+    levels = [(idx, val)]
+    edges = 0
+    while len(levels) <= L and idx.size:
+        idx, val, cost = mv.expand_sparse(csr, idx, val)
+        val = sqrt_c * val
+        keep = val > threshold
+        idx, val = idx[keep], val[keep]
+        levels.append((idx, val))
+        edges += cost
+    levels += [(idx, val)] * (L + 1 - len(levels))  # the support died out
+    return ForwardResult(levels=levels, n=csr.n, edges=edges, threshold=threshold)
 
 
 def backward(
@@ -98,12 +114,16 @@ def backward(
     *,
     c: float,
 ) -> np.ndarray:
-    """Accumulate ``s^L`` from the stored ℓ-hop PPR vectors (numpy engine)."""
+    """Accumulate ``s^L``: one dense ``Pᵀ`` hop per level, then scatter
+    ``D̂·π_i^ℓ`` onto the level's support."""
     sqrt_c = math.sqrt(c)
     scale = 1.0 / (1.0 - sqrt_c)
-    s = scale * d_hat * fwd.pis[fwd.L]
-    for ell in range(1, fwd.L + 1):
-        s = sqrt_c * mv.matvec_PT(csr, s) + scale * d_hat * fwd.pis[fwd.L - ell]
+    s = np.zeros(csr.n)
+    for ell in range(fwd.L, -1, -1):
+        if ell < fwd.L:
+            s = sqrt_c * mv.matvec_PT(csr, s)
+        idx, val = fwd.levels[ell]
+        s[idx] += scale * d_hat[idx] * val
     return s
 
 
@@ -122,82 +142,3 @@ def single_source(
     thr = sparse_threshold(eps, c) if sparse else 0.0
     fwd = forward(csr, source, c=c, L=L, threshold=thr)
     return backward(csr, fwd, d_hat, c=c), fwd
-
-
-def forward_sparse_levels(
-    csr: CSRGraph,
-    source: int,
-    *,
-    c: float,
-    L: int,
-    threshold: float,
-) -> tuple[List[tuple[np.ndarray, np.ndarray]], int, int]:
-    """ℓ-hop PPR levels as sparse (idx, val) pairs via local push.
-
-    The truly-sparse twin of :func:`forward` — per-hop cost proportional to
-    the surviving support, not to ``n`` — used by the PRSim-lite index build
-    where a dense vector per source would be ``O(n²L)``.  Returns
-    ``(levels, total_entries, edges_traversed)``.
-    """
-    sqrt_c = math.sqrt(c)
-    idx = np.array([source], dtype=np.int64)
-    val = np.array([1.0 - sqrt_c])
-    levels = [(idx, val)]
-    entries = 1
-    edges = 0
-    for _ in range(L):
-        idx, val, cost = mv.expand_sparse(csr, idx, val, prune=0.0)
-        val = sqrt_c * val
-        keep = val > threshold
-        idx, val = idx[keep], val[keep]
-        edges += cost
-        levels.append((idx, val))
-        entries += int(idx.size)
-        if idx.size == 0:
-            break
-    return levels, entries, edges
-
-
-# ---------------------------------------------------------------------------
-# Spark DataFrame engine — same recurrences as message-passing joins.
-# ---------------------------------------------------------------------------
-
-
-def forward_df(graph: Graph, source: int, *, c: float, L: int) -> List[np.ndarray]:
-    """``π_i^ℓ`` for ℓ = 0..L computed on the DataFrame engine.
-
-    Each hop is one edge-join mat-vec; ``localCheckpoint`` every hop keeps the
-    plan flat.  Returns dense collected vectors so callers can compare engines.
-    """
-    sqrt_c = math.sqrt(c)
-    pi0 = np.zeros(graph.n)
-    pi0[source] = 1.0 - sqrt_c
-    t = graph.transition_df()
-    cur = mv.vec_to_df(graph, pi0)
-    out = [pi0]
-    for _ in range(L):
-        cur = (
-            mv.matvec_P_df(t, cur)
-            .select("id", (mv.F.lit(sqrt_c) * mv.F.col("val")).alias("val"))
-            .localCheckpoint(eager=True)
-        )
-        out.append(mv.df_to_vec(graph.n, cur))
-    return out
-
-
-def backward_df(
-    graph: Graph, pis: List[np.ndarray], d_hat: np.ndarray, *, c: float
-) -> np.ndarray:
-    """``s^L`` accumulated on the DataFrame engine (mirror of :func:`backward`)."""
-    sqrt_c = math.sqrt(c)
-    scale = 1.0 / (1.0 - sqrt_c)
-    L = len(pis) - 1
-    t = graph.transition_df()
-    s = mv.vec_to_df(graph, scale * d_hat * pis[L])
-    for ell in range(1, L + 1):
-        stepped = mv.matvec_PT_df(t, s).select(
-            "id", (mv.F.lit(sqrt_c) * mv.F.col("val")).alias("val")
-        )
-        inject = mv.vec_to_df(graph, scale * d_hat * pis[L - ell])
-        s = mv.axpy_df(1.0, stepped, inject).localCheckpoint(eager=True)
-    return mv.df_to_vec(graph.n, s)

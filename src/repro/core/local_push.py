@@ -47,63 +47,31 @@ PRUNE = 1e-15
 #: change the 1e-7 digit.
 MAX_LEVEL = 40
 
-SparseVec = Tuple[np.ndarray, np.ndarray]  # (indices int64, values float64)
-
-
-def _expand(csr: CSRGraph, row: SparseVec) -> Tuple[SparseVec, int]:
-    """One step of ``M``: distribute each entry to its node's in-neighbors.
-
-    Returns the new row and the number of edges traversed (the ``E_k``
-    increment).  Entries at dead-end nodes vanish (the walk must stop there).
-    Delegates to the shared local-push primitive (``M^t`` rows are exactly
-    sparse ``P``-matvecs because ``P = Mᵀ``).
-    """
-    idx, val, total = mv.expand_sparse(csr, row[0], row[1], prune=PRUNE)
-    return (idx, val), total
-
-
+SparseVec = mv.SparseVec
 RowKey = Tuple[int, int]  # (origin node q, level t) identifying an M^t(q,·) row
 
 
 def _expand_batch(
     csr: CSRGraph, rows: Dict[RowKey, SparseVec]
 ) -> Tuple[Dict[RowKey, SparseVec], int]:
-    """Advance every row one level in a single vectorized push.
+    """Advance every row one level in a single row-batched push.
 
-    All rows' entries are concatenated, pushed along the reversed edges at
-    once, and re-aggregated per row via a composite ``(row, node)`` key —
-    identical arithmetic to per-row :func:`_expand`, but one numpy pass per
-    level instead of one per row, which is what makes deep heads affordable.
+    One step of ``M`` per row (``M^t`` rows are sparse ``P``-matvecs because
+    ``P = Mᵀ``): all rows' entries go through one ``expand_sparse`` call,
+    tagged by row, so a level costs one numpy pass, not one per row.  Returns
+    the new rows (keyed one level up; dead rows come back empty) and the
+    edges traversed (the ``E_k`` increment).
     """
     keys = list(rows)
-    sizes = np.array([rows[key][0].size for key in keys], dtype=np.int64)
-    rid = np.repeat(np.arange(len(keys)), sizes)
-    idx = np.concatenate([rows[key][0] for key in keys]) if keys else np.zeros(0, np.int64)
-    val = np.concatenate([rows[key][1] for key in keys]) if keys else np.zeros(0)
-    keep = csr.din[idx] > 0
-    rid, idx, val = rid[keep], idx[keep], val[keep]
-    out: Dict[RowKey, SparseVec] = {
-        (q, lvl + 1): (np.zeros(0, np.int64), np.zeros(0)) for (q, lvl) in keys
-    }
-    if idx.size == 0:
-        return out, 0
-    counts = csr.din[idx]
-    total = int(counts.sum())
-    rep = np.repeat(np.arange(idx.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    nbr = csr.in_neighbors[csr.in_indptr[idx][rep] + offsets]
-    w = (val / counts)[rep]
-    key = rid[rep] * csr.n + nbr
-    uk, inv = np.unique(key, return_inverse=True)
-    acc = np.bincount(inv, weights=w, minlength=uk.size)
-    keep2 = acc > PRUNE
-    uk, acc = uk[keep2], acc[keep2]
-    out_rid = uk // csr.n
-    out_nbr = uk % csr.n
+    rid = np.repeat(np.arange(len(keys)), [rows[key][0].size for key in keys])
+    idx = np.concatenate([rows[key][0] for key in keys])
+    val = np.concatenate([rows[key][1] for key in keys])
+    nbr, acc, total, out_rid = mv.expand_sparse(csr, idx, val, prune=PRUNE, rows=rid)
     bounds = np.searchsorted(out_rid, np.arange(len(keys) + 1))
-    for i, (q, lvl) in enumerate(keys):
-        s, e = bounds[i], bounds[i + 1]
-        out[(q, lvl + 1)] = (out_nbr[s:e], acc[s:e])
+    out = {
+        (q, lvl + 1): (nbr[s:e], acc[s:e])
+        for (q, lvl), s, e in zip(keys, bounds[:-1], bounds[1:])
+    }
     return out, total
 
 

@@ -1,9 +1,11 @@
 """Sparse matrix–vector products for the (reverse) transition matrix ``P``.
 
-Two engines compute the same arithmetic:
+The mat-vecs exist in two engines:
 
-* ``numpy`` — ``np.bincount`` over the edge list.  Used by the parameter
-  sweeps where the vector fits in driver memory (DESIGN.md §3).
+* ``numpy`` — the dense mat-vecs ``matvec_P``/``matvec_PT`` (one
+  ``np.bincount`` over the edge list) and the sparse push ``expand_sparse``
+  (work proportional to the pushed support), the one push primitive of the
+  forward phase, PRSim and Algorithm 3 (DESIGN.md §3).
 * ``spark`` — the GraphX-``aggregateMessages`` equivalent in DataFrame form:
   join the weighted edge table with the vector table, ``groupBy`` the
   receiving endpoint, sum the messages.  Used to demonstrate the scale-out
@@ -18,12 +20,22 @@ Conventions (see ``graphs/graph.py``): ``P(i, j) = 1/d_in(j)`` for each edge
 """
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graphs.graph import CSRGraph, Graph
+
+#: ``expand_sparse`` accumulates into a dense ``bincount`` over the whole key
+#: space when that space is at most this many times the gathered edges (dense
+#: levels), and into ``np.unique`` over the touched keys otherwise (sparse
+#: levels, PRSim's per-source pushes, Algorithm 3's row batches).
+DENSE_KEYS_PER_EDGE = 10
+
+SparseVec = Tuple[np.ndarray, np.ndarray]  # (indices int64, values float64)
 
 # ---------------------------------------------------------------------------
 # numpy engine
@@ -50,32 +62,59 @@ def matvec_PT(csr: CSRGraph, v: np.ndarray) -> np.ndarray:
 
 
 def expand_sparse(
-    csr: CSRGraph, idx: np.ndarray, val: np.ndarray, *, prune: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, int]:
+    csr: CSRGraph,
+    idx: np.ndarray,
+    val: np.ndarray,
+    *,
+    prune: float = 0.0,
+    rows: np.ndarray | None = None,
+):
     """Sparse ``P · v`` by local push: distribute each entry to in-neighbors.
 
     ``P·v`` gathers ``v(j)/d_in(j)`` into every ``i ∈ I(j)`` — structurally,
     each nonzero entry is *pushed* along the reversed edges, which is the
-    local-push primitive of PRSim and of Algorithm 3's BFS (where the same
-    operation realizes ``M^t`` rows, since ``P = Mᵀ`` for the walk transition
-    ``M``).  Entries landing at a value ``<= prune`` are dropped.  Returns
-    ``(indices, values, edges_traversed)`` — the traversal count feeds the
-    adaptive budgets.
+    local-push primitive of the sparse forward, of PRSim and of Algorithm 3's
+    BFS (where the same operation realizes ``M^t`` rows, since ``P = Mᵀ`` for
+    the walk transition ``M``).  Entries at dead ends (``d_in = 0``) vanish;
+    entries landing at a magnitude ``<= prune`` are dropped.
+
+    ``rows`` optionally tags each entry with a row id in ``0..R-1``: entries
+    of different rows never combine, so one call pushes ``R`` vectors.
+
+    Returns ``(indices, values, edges_traversed)``, sorted by index; with
+    ``rows`` the output row ids come fourth and the order is by
+    ``(row, index)``.  The traversal count feeds the adaptive budgets.
     """
     keep = csr.din[idx] > 0
     idx, val = idx[keep], val[keep]
+    if rows is not None:
+        rows = rows[keep]
     if idx.size == 0:
-        return idx, val, 0
+        return (idx, val, 0) if rows is None else (idx, val, 0, rows)
     counts = csr.din[idx]
     total = int(counts.sum())
-    rep = np.repeat(np.arange(idx.size), counts)
-    offsets = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    nbr = csr.in_neighbors[csr.in_indptr[idx][rep] + offsets]
-    w = (val / counts)[rep]
-    uniq, inv = np.unique(nbr, return_inverse=True)
-    acc = np.bincount(inv, weights=w, minlength=uniq.size)
-    keep2 = np.abs(acc) > prune
-    return uniq[keep2], acc[keep2], total
+    starts = np.cumsum(counts) - counts
+    key = csr.in_neighbors[
+        np.arange(total) + np.repeat(csr.in_indptr[idx] - starts, counts)
+    ]
+    w = np.repeat(val / counts, counts)
+    keyspace = csr.n
+    if rows is not None:
+        key += np.repeat(rows, counts) * csr.n
+        keyspace *= int(rows.max()) + 1
+    # Both accumulators add each key's weights in input order: same sums.
+    if keyspace <= DENSE_KEYS_PER_EDGE * total:
+        acc = np.bincount(key, weights=w, minlength=keyspace)
+        key = np.flatnonzero(np.abs(acc) > prune)
+        acc = acc[key]
+    else:
+        key, inv = np.unique(key, return_inverse=True)
+        acc = np.bincount(inv, weights=w, minlength=key.size)
+        live = np.abs(acc) > prune
+        key, acc = key[live], acc[live]
+    if rows is None:
+        return key, acc, total
+    return key % csr.n, acc, total, key // csr.n
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +161,3 @@ def matvec_PT_df(transition: DataFrame, vec: DataFrame) -> DataFrame:
         .groupBy(F.col("dst").alias("id"))
         .agg(F.sum(F.col("w") * F.col("val")).alias("val"))
     )
-
-
-def axpy_df(a: float, x: DataFrame, y: DataFrame) -> DataFrame:
-    """``a·x + y`` over sparse ``(id, val)`` tables (full outer union-sum)."""
-    ax = x.select("id", (F.lit(float(a)) * F.col("val")).alias("val"))
-    return ax.unionByName(y).groupBy("id").agg(F.sum("val").alias("val"))

@@ -26,3 +26,13 @@ def exact_d(name: str, c: float = 0.6, tol: float = 1e-11) -> np.ndarray:
 @lru_cache(maxsize=None)
 def exact_d_power(name: str, c: float = 0.6, tol: float = 1e-12) -> np.ndarray:
     return diagonal.exact_diagonal(gen.load(name), c=c, tol=tol)
+
+
+def level_vectors(fwd) -> list:
+    """The forward's sparse levels scattered into dense vectors."""
+    out = []
+    for idx, val in fwd.levels:
+        v = np.zeros(fwd.n)
+        v[idx] = val
+        out.append(v)
+    return out

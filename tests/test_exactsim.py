@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro import metrics
+from repro.core import linearized
 from repro.core.exactsim import exactsim
 from repro.graphs import generators as gen
 from tests.helpers import power_truth
@@ -133,6 +134,19 @@ def test_opt_on_graph_without_tail_pairs():
     r = exactsim(gen.tiny_cycle(4), 0, eps=1e-2, variant="opt")
     assert r.pairs_simulated == 0
     assert np.abs(r.scores - np.eye(4)[0]).max() < 1e-2
+
+
+@pytest.mark.parametrize("variant", ["basic", "opt"])
+def test_source_without_in_neighbors(variant):
+    """The source's forward support dies after hop 0 (``d_in = 0``): all
+    ``L+1`` levels are still accounted, and the scores match Power Method."""
+    g = gen.load("WV-lite")
+    src, eps = 41, 1e-2
+    assert g.csr.din[src] == 0
+    r = exactsim(g, src, eps=eps, variant=variant, seed=2, max_pairs=2_000_000)
+    L = linearized.iterations_for(eps / 2 if variant == "opt" else eps, C)
+    assert (r.L, r.stored_entries, r.dense_bytes) == (L, 1, (L + 1) * g.n * 8)
+    assert np.abs(r.scores - power_truth("WV-lite")[:, src]).max() <= eps
 
 
 def test_walk_engine_spark_matches_local(spark):

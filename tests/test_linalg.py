@@ -118,6 +118,24 @@ def test_expand_sparse_dead_end():
     assert idx2.size == 0 and edges2 == 0
 
 
+@pytest.mark.parametrize("batched", [False, True], ids=["one-row", "rows"])
+def test_expand_sparse_accumulators_agree(monkeypatch, batched):
+    """The dense-bincount and ``np.unique`` accumulators give the same bits."""
+    g = gen.load("WV-lite")
+    rng = np.random.default_rng(6)
+    idx = rng.choice(g.n, size=300, replace=False).astype(np.int64)
+    val = rng.random(300)
+    rows = rng.integers(0, 3, size=300) if batched else None
+    out = {}
+    for name, factor in [("bincount", 10**9), ("unique", 0)]:
+        monkeypatch.setattr(mv, "DENSE_KEYS_PER_EDGE", factor)
+        out[name] = mv.expand_sparse(g.csr, idx, val, prune=1e-3, rows=rows)
+    assert len(out["unique"]) == (4 if batched else 3)
+    for a, b in zip(out["bincount"], out["unique"]):
+        np.testing.assert_array_equal(a, b)
+    assert out["unique"][0].size > 0
+
+
 # ---------------------------------------------------------------------------
 # Spark DataFrame engine + oracle
 # ---------------------------------------------------------------------------
@@ -156,15 +174,6 @@ def test_matvec_df_oracle(spark):
         transition=trans_pdf,
         vec=vec_pdf,
     )
-
-
-def test_axpy_df(spark):
-    g = gen.load("GQ-lite", spark)
-    x, y = _rand_vec(g.n, 10), _rand_vec(g.n, 11)
-    got = mv.df_to_vec(
-        g.n, mv.axpy_df(0.5, mv.vec_to_df(g, x), mv.vec_to_df(g, y))
-    )
-    np.testing.assert_allclose(got, 0.5 * x + y, atol=1e-12)
 
 
 def test_vec_df_roundtrip(spark):

@@ -1,11 +1,11 @@
-"""Linearized engine: forward/backward phases, Lemma-2 sparsification, DF parity."""
+"""Linearized engine: forward/backward phases, Lemma-2 sparsification."""
 import math
 
 import numpy as np
 import pytest
 
 from repro.core import linearized
-from tests.helpers import exact_d, power_truth
+from tests.helpers import exact_d, level_vectors, power_truth
 from repro.graphs import generators as gen
 
 C = 0.6
@@ -33,10 +33,11 @@ def test_forward_hop_vectors_match_dense(name):
     e0 = np.zeros(g.n)
     e0[0] = 1.0
     expect = (1 - SQC) * e0
+    pis = level_vectors(fwd)
     for ell in range(7):
-        np.testing.assert_allclose(fwd.pis[ell], expect, atol=1e-12)
+        np.testing.assert_allclose(pis[ell], expect, atol=1e-12)
         expect = SQC * (P @ expect)
-    np.testing.assert_allclose(fwd.pi, np.sum(fwd.pis, axis=0), atol=1e-12)
+    np.testing.assert_allclose(fwd.pi, np.sum(pis, axis=0), atol=1e-12)
 
 
 def test_forward_mass_on_cycle():
@@ -101,51 +102,24 @@ def test_backward_cycle_closed_form():
 
 
 def test_forward_sparse_levels_match_dense_forward():
+    """Every level equals the dense ``P`` recurrence with entries ``<= thr``
+    zeroed after each hop; the accounting counts exactly those entries.
+    Threshold 0 fills WV-lite's levels; under ``thr`` the support dies out
+    after hop 9 and the remaining levels stay, empty."""
     g = gen.load("WV-lite")
-    eps = 1e-3
-    L = linearized.iterations_for(eps, C)
-    thr = linearized.sparse_threshold(eps, C)
-    fwd = linearized.forward(g.csr, 3, c=C, L=L, threshold=thr)
-    levels, entries, edges = linearized.forward_sparse_levels(
-        g.csr, 3, c=C, L=L, threshold=thr
-    )
-    assert entries == fwd.stored_entries
-    assert edges > 0
-    for ell, (idx, val) in enumerate(levels):
-        dense = np.zeros(g.n)
-        dense[idx] = val
-        np.testing.assert_allclose(dense, fwd.pis[ell], atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Spark DataFrame engine parity
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("g", [gen.tiny_cycle(5), gen.tiny_star(4)], ids=lambda g: g.name)
-def test_forward_df_matches_numpy(spark, g):
-    g.spark = spark
-    fwd = linearized.forward(g.csr, 0, c=C, L=4)
-    pis_df = linearized.forward_df(g, 0, c=C, L=4)
-    for a, b in zip(fwd.pis, pis_df):
-        np.testing.assert_allclose(a, b, atol=1e-10)
-
-
-def test_backward_df_matches_numpy(spark):
-    g = gen.load("GQ-lite", spark)
-    d = exact_d("GQ-lite")
-    fwd = linearized.forward(g.csr, 0, c=C, L=5)
-    s_np = linearized.backward(g.csr, fwd, d, c=C)
-    s_df = linearized.backward_df(g, fwd.pis, d, c=C)
-    np.testing.assert_allclose(s_df, s_np, atol=1e-9)
-
-
-def test_full_query_df_engine_matches_power(spark):
-    """End-to-end single-source on the DataFrame engine with exact D."""
-    g = gen.load("GQ-lite", spark)
-    S = power_truth("GQ-lite")
-    d = exact_d("GQ-lite")
-    L = linearized.iterations_for(1e-5, C)
-    pis = linearized.forward_df(g, 0, c=C, L=L)
-    s = linearized.backward_df(g, pis, d, c=C)
-    assert np.abs(s - S[:, 0]).max() < 1e-4
+    L = linearized.iterations_for(1e-3, C)
+    P = g.dense_P()
+    for thr in (0.0, linearized.sparse_threshold(1e-3, C)):
+        fwd = linearized.forward(g.csr, 3, c=C, L=L, threshold=thr)
+        assert len(fwd.levels) == L + 1 and fwd.threshold == thr
+        expect = np.zeros(g.n)
+        expect[3] = 1 - SQC
+        count = edges = 0
+        for ell, dense in enumerate(level_vectors(fwd)):
+            np.testing.assert_allclose(dense, expect, atol=1e-12)
+            count += np.count_nonzero(expect)
+            edges += int(g.csr.din[expect > 0].sum()) if ell < L else 0
+            expect = SQC * (P @ expect)
+            expect[expect <= thr] = 0.0
+        assert fwd.stored_entries == count
+        assert fwd.edges == edges > 0

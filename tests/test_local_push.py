@@ -8,6 +8,7 @@ from repro.core import diagonal, local_push
 from tests.helpers import exact_d
 from repro.graphs import generators as gen
 from repro.graphs.graph import from_edges
+from repro.linalg import matvec as mv
 from repro.walks import pair_walks
 
 C = 0.6
@@ -244,18 +245,23 @@ def test_estimate_D_local_push_spark_matches_local(spark):
 
 
 def test_expand_batch_matches_per_row():
+    """A row-batched ``expand_sparse`` equals one call per row."""
     g = gen.load("WV-lite")
     rng = np.random.default_rng(8)
-    rows = {}
-    for i, q in enumerate(rng.choice(g.n, size=5, replace=False)):
-        nz = rng.choice(g.n, size=8, replace=False).astype(np.int64)
-        rows[(int(q), i)] = (np.sort(nz), rng.random(8))
-    batched, total = local_push._expand_batch(g.csr, rows)
+    idx, val = [], []
+    for _ in range(5):
+        idx.append(np.sort(rng.choice(g.n, size=8, replace=False)).astype(np.int64))
+        val.append(rng.random(8))
+    rows = np.repeat(np.arange(5), 8)
+    bi, bv, total, brow = mv.expand_sparse(
+        g.csr, np.concatenate(idx), np.concatenate(val),
+        prune=local_push.PRUNE, rows=rows,
+    )
     expected_total = 0
-    for key, row in rows.items():
-        single, cost = local_push._expand(g.csr, row)
+    for r in range(5):
+        si, sv, cost = mv.expand_sparse(g.csr, idx[r], val[r], prune=local_push.PRUNE)
         expected_total += cost
-        bi, bv = batched[(key[0], key[1] + 1)]
-        np.testing.assert_array_equal(bi, single[0])
-        np.testing.assert_allclose(bv, single[1], atol=1e-12)
+        np.testing.assert_array_equal(bi[brow == r], si)
+        np.testing.assert_allclose(bv[brow == r], sv, atol=1e-12)
     assert total == expected_total
+    assert np.all(np.diff(brow) >= 0)

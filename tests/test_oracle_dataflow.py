@@ -27,6 +27,15 @@ def test_out_degree(spark, gq):
     )
 
 
+def test_oracle_detects_mismatch(spark, gq):
+    """The oracle must fail a dataflow whose aggregate is off by one."""
+    wrong = gq.edges_df().groupBy("src").agg((F.count("*") + 1).alias("dout"))
+    with pytest.raises(AssertionError):
+        assert_equivalent(
+            wrong, "SELECT src, COUNT(*) AS dout FROM edges GROUP BY src", edges=gq.edges_pdf()
+        )
+
+
 def test_degree_distribution(spark, gq):
     din = gq.edges_df().groupBy("dst").agg(F.count("*").alias("din"))
     q = din.groupBy("din").agg(F.count("*").alias("nodes"))
