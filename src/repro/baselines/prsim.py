@@ -39,18 +39,25 @@ class BudgetExceeded(RuntimeError):
     """Index build would exceed the configured entry budget."""
 
 
-def _levels_to_rows(src: int, levels) -> pd.DataFrame:
-    frames = []
-    for ell, (idx, val) in enumerate(levels):
-        if idx.size:
-            frames.append(
-                pd.DataFrame(
-                    {"ell": ell, "k": idx, "j": np.int64(src), "val": val}
-                )
-            )
-    if not frames:
-        return pd.DataFrame({"ell": [], "k": [], "j": [], "val": []})
-    return pd.concat(frames, ignore_index=True)
+INDEX_COLS = ("ell", "k", "j", "val")
+
+
+def _level_columns(src: int, levels) -> tuple:
+    """One source's ``(ell, k, j, val)`` index columns, level by level."""
+    sizes = [idx.size for idx, _ in levels]
+    return (
+        np.repeat(np.arange(len(levels), dtype=np.int64), sizes),
+        np.concatenate([idx for idx, _ in levels]),
+        np.full(sum(sizes), src, dtype=np.int64),
+        np.concatenate([val for _, val in levels]),
+    )
+
+
+def _index_frame(columns: list) -> pd.DataFrame:
+    """One frame from the ``_level_columns`` of many sources, in order."""
+    return pd.DataFrame(
+        {name: np.concatenate([col[i] for col in columns]) for i, name in enumerate(INDEX_COLS)}
+    )
 
 
 def pagerank_ppr(graph: Graph, *, c: float, L: int) -> np.ndarray:
@@ -127,9 +134,10 @@ def preprocess(
             csr = bc.value
             for pdf in batches:
                 for row in pdf.itertuples(index=False):
-                    for s in range(int(row.lo), min(int(row.lo) + 256, csr.n)):
-                        fwd = linearized.forward(csr, s, c=c, L=L, threshold=thr)
-                        yield _levels_to_rows(s, fwd.levels)
+                    yield _index_frame([
+                        _level_columns(s, linearized.forward(csr, s, c=c, L=L, threshold=thr).levels)
+                        for s in range(int(row.lo), min(int(row.lo) + 256, csr.n))
+                    ])
 
         df = adf.mapInPandas(
             run, schema="ell long, k long, j long, val double"
@@ -142,7 +150,7 @@ def preprocess(
             eps, L, d_hat, int(entries), total, time.perf_counter() - t0, None, df
         )
 
-    frames = []
+    columns = []
     entries = 0
     push_edges = 0
     for s in range(graph.n):
@@ -157,9 +165,8 @@ def preprocess(
             raise BudgetExceeded(
                 f"PRSim push work exceeds {max_push_edges:.2e} edges at eps={eps}"
             )
-        frames.append(_levels_to_rows(s, fwd.levels))
-    pdf = pd.concat(frames, ignore_index=True)
-    pdf = pdf.astype({"ell": "int64", "k": "int64", "j": "int64", "val": "float64"})
+        columns.append(_level_columns(s, fwd.levels))
+    pdf = _index_frame(columns)
     return PRSimIndex(
         eps, L, d_hat, entries, total, time.perf_counter() - t0, pdf, None
     )
@@ -176,7 +183,7 @@ def _source_rows(graph: Graph, source: int, index: PRSimIndex, c: float) -> pd.D
         graph.csr, source, c=c, L=index.L,
         threshold=linearized.sparse_threshold(index.eps, c),
     )
-    rows = _levels_to_rows(source, fwd.levels).rename(columns={"val": "val_i"})
+    rows = _index_frame([_level_columns(source, fwd.levels)]).rename(columns={"val": "val_i"})
     return rows.drop(columns=["j"]).astype({"ell": "int64", "k": "int64"})
 
 

@@ -17,17 +17,22 @@ deterministically bounded by ``c^{ℓ(k)}``, a node whose head went deep enough
 (``c^{ℓ(k)} <= skip_tol``) skips sampling entirely; on the lite graphs this is
 what lets optimized ExactSim reach ε = 1e-7 genuinely (DESIGN.md §4).
 
-:func:`estimate_D_local_push` computes heads per node — on Spark *across
+:func:`meeting_head` computes the heads of a whole batch of nodes at once:
+every node advances one level per iteration, all rows of all running nodes
+go through one row-batched ``matvec.expand_sparse`` push, and the Lemma-4
+sums of all nodes are one ``matvec.accumulate`` call.  A node's result does
+not depend on the rest of its batch.  :func:`estimate_D_local_push` makes one
+such call per query on the local engine; on Spark one per task, *across
 nodes* with the broadcast CSR graph, each task holding a similar mix of
 ``R(k)``, the paper's own parallelization prescription (§3.2
-"Parallelization") — and then walks every node's tail pairs in one batch of
+"Parallelization").  It then walks every node's tail pairs in one batch of
 pair-range chunks (``pair_walks.meet_counts``).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 import pandas as pd
@@ -47,121 +52,131 @@ PRUNE = 1e-15
 #: change the 1e-7 digit.
 MAX_LEVEL = 40
 
-SparseVec = mv.SparseVec
-RowKey = Tuple[int, int]  # (origin node q, level t) identifying an M^t(q,·) row
-
-
-def _expand_batch(
-    csr: CSRGraph, rows: Dict[RowKey, SparseVec]
-) -> Tuple[Dict[RowKey, SparseVec], int]:
-    """Advance every row one level in a single row-batched push.
-
-    One step of ``M`` per row (``M^t`` rows are sparse ``P``-matvecs because
-    ``P = Mᵀ``): all rows' entries go through one ``expand_sparse`` call,
-    tagged by row, so a level costs one numpy pass, not one per row.  Returns
-    the new rows (keyed one level up; dead rows come back empty) and the
-    edges traversed (the ``E_k`` increment).
-    """
-    keys = list(rows)
-    rid = np.repeat(np.arange(len(keys)), [rows[key][0].size for key in keys])
-    idx = np.concatenate([rows[key][0] for key in keys])
-    val = np.concatenate([rows[key][1] for key in keys])
-    nbr, acc, total, out_rid = mv.expand_sparse(csr, idx, val, prune=PRUNE, rows=rid)
-    bounds = np.searchsorted(out_rid, np.arange(len(keys) + 1))
-    out = {
-        (q, lvl + 1): (nbr[s:e], acc[s:e])
-        for (q, lvl), s, e in zip(keys, bounds[:-1], bounds[1:])
-    }
-    return out, total
-
 
 @dataclass
-class HeadResult:
-    """Deterministic head of the first-meeting series for one node."""
+class HeadBatch:
+    """Deterministic heads of the first-meeting series for a batch of nodes.
 
-    node: int
-    ell: int  # ℓ(k): levels computed exactly
-    z_sum: float  # Σ_{ℓ<=ℓ(k)} Z_ℓ(k)
-    edges: int  # E_k actually traversed
+    Every array is aligned with ``nodes``; ``edges`` is the batch total.
+    """
+
+    nodes: np.ndarray
+    ell: np.ndarray  # ℓ(k): levels computed exactly
+    z_sum: np.ndarray  # Σ_{ℓ<=ℓ(k)} Z_ℓ(k)
+    node_edges: np.ndarray  # E_k actually traversed
+    edges: int  # Σ_k E_k
+
+
+def _powers(c: float, top: int) -> np.ndarray:
+    """``c**j`` for ``j = 0..top``, each rounded as Python's ``c**j`` (a
+    vectorized ``np.power`` may round differently)."""
+    return np.array([c**j for j in range(top + 1)])
 
 
 def meeting_head(
-    csr: CSRGraph, k: int, *, c: float, budget_edges: int, max_level: int = MAX_LEVEL
-) -> HeadResult:
-    """Exact ``Σ_{ℓ<=ℓ(k)} Z_ℓ(k)`` with adaptive depth under an edge budget.
-
-    Invariant: entering iteration ℓ, ``rows`` holds exactly the ``M^t(q,·)``
-    rows needed to advance this level — ``(k, ℓ-1)`` plus ``(q', ℓ-1-t)`` for
-    every ``q' ∈ supp Z_t`` — each of which moves up one level per iteration
-    (so the batched expansion is a single vectorized pass).  The traversal
-    cost of a level is known *before* paying it (sum of in-degrees over all
-    row entries), so the budget check aborts a level without partial work,
-    mirroring Algorithm 3's ``E_k`` counter at level granularity.
-    """
-    rows: Dict[RowKey, SparseVec] = {
-        (k, 0): (np.array([k], dtype=np.int64), np.ones(1))
-    }
-    z: Dict[int, SparseVec] = {}  # t -> Z_t(k, ·)
-    z_sum = 0.0
-    edges = 0
-    ell_done = 0
-    for ell in range(1, max_level + 1):
-        # Cost of this level, computed before committing to it.
-        cost = sum(
-            int(csr.din[idx].sum()) for idx, _ in rows.values()
-        )
-        if edges + cost > budget_edges:
-            break  # unaffordable level: ℓ(k) stays at ell-1 (0 ⇒ Algorithm 2)
-        new_rows, actual = _expand_batch(csr, rows)
-        edges += actual
-        # Rows that died out (dead ends / pruned away) need no further work.
-        new_rows = {key: row for key, row in new_rows.items() if row[0].size}
-        empty = (np.zeros(0, np.int64), np.zeros(0))
-        # --- Lemma 4 at this level. ---
-        ki, kv = new_rows.get((k, ell), empty)
-        acc_idx = [ki]
-        acc_val = [(c**ell) * kv**2]
-        for t in range(1, ell):
-            zi, zv = z[t]
-            for pos, q in enumerate(zi.tolist()):
-                ri, rv = new_rows.get((q, ell - t), empty)
-                if ri.size:
-                    acc_idx.append(ri)
-                    acc_val.append(-(c ** (ell - t)) * rv**2 * zv[pos])
-        all_idx = np.concatenate(acc_idx)
-        all_val = np.concatenate(acc_val)
-        uniq, inv = np.unique(all_idx, return_inverse=True)
-        zl = np.bincount(inv, weights=all_val, minlength=uniq.size)
-        keep = np.abs(zl) > PRUNE
-        z[ell] = (uniq[keep], zl[keep])
-        z_sum += float(zl[keep].sum())
-        ell_done = ell
-        # Next iteration advances the surviving rows plus fresh base rows for
-        # this level's first-meeting nodes.
-        rows = new_rows
-        for q in z[ell][0].tolist():
-            rows[(q, 0)] = (np.array([q], dtype=np.int64), np.ones(1))
-        if c**ell < PRUNE or not rows:
-            break
-    return HeadResult(node=k, ell=ell_done, z_sum=z_sum, edges=edges)
-
-
-def estimate_node(
     csr: CSRGraph,
-    k: int,
-    r_k: int,
+    nodes: np.ndarray,
+    budgets: np.ndarray,
+    *,
+    c: float,
+    max_level: int = MAX_LEVEL,
+) -> HeadBatch:
+    """Exact ``Σ_{ℓ<=ℓ(k)} Z_ℓ(k)`` for every node, each under its edge budget.
+
+    All nodes advance one level per iteration (level-synchronous).  The
+    state is a table of sparse rows, each with its owner ``k``, start level
+    ``t0`` and weight ``w``: a row started from ``e_q`` at level ``t0`` holds
+    ``M^{ℓ-1-t0}(q,·)`` entering iteration ℓ.  Each owner starts with its
+    base row (``q = k``, ``t0 = 0``, ``w = +1``), and every
+    ``q ∈ supp Z_t(k,·)`` adds a row with ``t0 = t``, ``w = −Z_t(k,q)``.  One
+    iteration is:
+
+    * cost check: a level's cost is the in-degree sum over an owner's row
+      entries, known before paying it; an owner stops for good once
+      ``E_k + cost > budget`` (Algorithm 3's ``E_k`` counter at level
+      granularity);
+    * push: one row-batched ``expand_sparse`` over every row of every
+      running owner;
+    * Lemma 4: ``Z_ℓ(k,·) = Σ_rows c^{ℓ-t0}·w·M^{ℓ-t0}(q,·)²``, one
+      ``matvec.accumulate`` over ``(owner, index)`` keys.
+
+    Fresh ``Z_ℓ`` rows are appended after the surviving rows, so each
+    owner's rows stay in ``(t0, q)`` order without a sort and every key sums
+    its terms in the same order as a one-node batch: a node's result does
+    not depend on the batch around it.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    budgets = np.asarray(budgets, dtype=np.int64)
+    n, size = csr.n, nodes.size
+    cpow = _powers(c, max_level)
+    ell = np.zeros(size, np.int64)
+    z_sum = np.zeros(size)
+    node_edges = np.zeros(size, np.int64)
+    # Row table (owner, t0, w per row) and the rows' sparse entries.
+    row_owner = np.arange(size)
+    row_t0 = np.zeros(size, np.int64)
+    row_w = np.ones(size)
+    ent_row, ent_idx, ent_val = np.arange(size), nodes, np.ones(size)
+    for level in range(1, max_level + 1):
+        owner = row_owner[ent_row]
+        cost = np.bincount(owner, weights=csr.din[ent_idx], minlength=size).astype(np.int64)
+        run = np.bincount(row_owner, minlength=size) > 0
+        run &= node_edges + cost <= budgets
+        if not run.any():
+            break
+        if not run.all():
+            live = run[owner]
+            ent_row, ent_idx, ent_val = ent_row[live], ent_idx[live], ent_val[live]
+        node_edges[run] += cost[run]
+        ell[run] = level
+        nbr, val, _, out_row = mv.expand_sparse(csr, ent_idx, ent_val, prune=PRUNE, rows=ent_row)
+        del owner, ent_row, ent_idx, ent_val
+        # Rows that died out (dead ends / pruned away) need no further work.
+        first = np.ones(out_row.size, bool)
+        first[1:] = out_row[1:] != out_row[:-1]
+        kept = out_row[first]
+        row_owner, row_t0, row_w = row_owner[kept], row_t0[kept], row_w[kept]
+        rid = np.cumsum(first) - 1
+        # --- Lemma 4 at this level, keyed by (rank of owner, index). ---
+        owners = np.flatnonzero(np.bincount(row_owner, minlength=size))
+        rank = np.searchsorted(owners, row_owner)
+        term = cpow[level - row_t0[rid]] * val**2 * row_w[rid]
+        key, zl = mv.accumulate(rank[rid] * n + nbr, term, owners.size * n, prune=PRUNE)
+        del term
+        z_owner = owners[key // n]
+        z_sum += np.bincount(z_owner, weights=zl, minlength=size)
+        # Next level advances the surviving rows plus one fresh row per
+        # first-meeting node of this level.
+        fresh = row_owner.size + np.arange(key.size)
+        row_owner = np.concatenate([row_owner, z_owner])
+        row_t0 = np.concatenate([row_t0, np.full(key.size, level)])
+        row_w = np.concatenate([row_w, -zl])
+        ent_row = np.concatenate([rid, fresh])
+        ent_idx = np.concatenate([nbr, key % n])
+        ent_val = np.concatenate([val, np.ones(key.size)])
+        if cpow[level] < PRUNE:
+            break
+    return HeadBatch(nodes, ell, z_sum, node_edges, int(node_edges.sum()))
+
+
+def estimate_heads(
+    csr: CSRGraph,
+    nodes: np.ndarray,
+    r_k: np.ndarray,
     *,
     c: float,
     skip_tol: float = 0.0,
-) -> Tuple[float, int, int]:
-    """Algorithm 3's deterministic part for one node.
+) -> pd.DataFrame:
+    """Algorithm 3's deterministic part for a batch of nodes.
 
-    Returns ``(1 − head, ℓ(k), R'(k))``: the head-only ``D̂(k,k)``, its
-    depth, and the number of tail pairs still to walk.  The caller subtracts
-    the sampled tail ``c^{ℓ(k)}·met/R'(k)``.  Trivial in-degree cases
-    short-circuit (lines 1-4).  If the tail bound ``c^{ℓ(k)}`` is below
-    ``skip_tol`` no tail is sampled — the estimate is then deterministic
-    with error <= ``c^{ℓ(k)}``.
+    Returns the frame ``(node, d_hat, ell, pairs)``: the head-only
+    ``D̂(k,k) = 1 − head``, its depth ``ℓ(k)``, and ``R'(k)``, the tail
+    pairs still to walk.  The caller subtracts the sampled tail
+    ``c^{ℓ(k)}·met/R'(k)``.  Trivial in-degree cases short-circuit
+    (lines 1-4); the other nodes get the budget ``⌈2R(k)/√c⌉`` and go to
+    :func:`meeting_head` in one batch.  If the tail bound ``c^{ℓ(k)}`` is at
+    most ``skip_tol`` no tail is sampled — the estimate is then
+    deterministic with error <= ``c^{ℓ(k)}``.
 
     The tail sample count is scaled down to ``R'(k) = ⌈c^{ℓ(k)} R(k)⌉``: the
     tail estimator's values live in ``{0, c^{ℓ(k)}}``, so its variance is
@@ -170,15 +185,20 @@ def estimate_node(
     the variance by at least ``c^{ℓ(k)}``" claim turns into wall-clock
     savings (Figure 9's 10-100×) rather than only accuracy.
     """
-    din = int(csr.din[k])
-    if din == 0:
-        return 1.0, 0, 0
-    if din == 1:
-        return 1.0 - c, 0, 0
-    budget = int(math.ceil(2.0 * r_k / math.sqrt(c)))
-    head = meeting_head(csr, k, c=c, budget_edges=budget)
-    r_tail = 0 if c**head.ell <= skip_tol else int(math.ceil(r_k * c**head.ell))
-    return 1.0 - head.z_sum, head.ell, r_tail
+    nodes = np.asarray(nodes, dtype=np.int64)
+    r_k = np.asarray(r_k, dtype=np.int64)
+    din = csr.din[nodes]
+    d_hat = np.where(din == 0, 1.0, 1.0 - c)
+    ell = np.zeros(nodes.size, np.int64)
+    pairs = np.zeros(nodes.size, np.int64)
+    deep = np.flatnonzero(din > 1)
+    budgets = np.ceil(2.0 * r_k[deep] / math.sqrt(c)).astype(np.int64)
+    head = meeting_head(csr, nodes[deep], budgets, c=c)
+    tail_bound = _powers(c, MAX_LEVEL)[head.ell]
+    d_hat[deep] = 1.0 - head.z_sum
+    ell[deep] = head.ell
+    pairs[deep] = np.where(tail_bound <= skip_tol, 0, np.ceil(r_k[deep] * tail_bound))
+    return pd.DataFrame({"node": nodes, "d_hat": d_hat, "ell": ell, "pairs": pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -201,32 +221,33 @@ def estimate_D_local_push(
 
     Returns the dense ``D̂`` vector plus a per-node stats frame
     ``(node, d_hat, ell, pairs)``, ``pairs`` being the tail pairs walked.
-    Heads run per node; on the Spark engine nodes are dealt to tasks by
-    ``R(k)`` rank so tasks carry similar budgets (the paper's load-balancing
-    rule).  Then every node's tail pairs run as one batch of pair-range
-    chunks, which both engines walk with the same seeds, so they agree
-    exactly.
+    Heads run as one :func:`estimate_heads` batch; on the Spark engine as one
+    batch per task, nodes dealt to tasks by ``R(k)`` rank so tasks carry
+    similar budgets (the paper's load-balancing rule).  A node's head does
+    not depend on its batch, and every node's tail pairs then run as one
+    batch of pair-range chunks, which both engines walk with the same seeds,
+    so the engines agree exactly.
     """
     pair_walks.check_engine(engine)
-    order = np.argsort(counts, kind="stable")[::-1]
-    work = pd.DataFrame(
-        {"node": nodes[order].astype(np.int64), "r_k": counts[order].astype(np.int64)}
-    )
+    nodes = np.asarray(nodes, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
 
     def run_heads(csr: CSRGraph, pdf: pd.DataFrame) -> pd.DataFrame:
-        out = [
-            (k, *estimate_node(csr, k, r_k, c=c, skip_tol=skip_tol))
-            for k, r_k in zip(pdf["node"].tolist(), pdf["r_k"].tolist())
-        ]
-        return pd.DataFrame(out, columns=["node", "d_hat", "ell", "pairs"])
+        return estimate_heads(
+            csr, pdf["node"].to_numpy(), pdf["r_k"].to_numpy(), c=c, skip_tol=skip_tol
+        )
 
-    if engine == "spark" and len(work):
+    if engine == "spark" and nodes.size:
         par = max(2, graph.spark.sparkContext.defaultParallelism)
         # Round-robin by budget rank → tasks hold similar R(k) mixes.
-        parts = [work.iloc[t::par] for t in range(min(par, len(work)))]
+        order = np.argsort(counts, kind="stable")[::-1]
+        parts = [
+            pd.DataFrame({"node": nodes[o], "r_k": counts[o]})
+            for o in (order[t::par] for t in range(min(par, nodes.size)))
+        ]
         stats = pair_walks.run_spark_tasks(graph, parts, run_heads)
     else:
-        stats = run_heads(graph.csr, work)
+        stats = estimate_heads(graph.csr, nodes, counts, c=c, skip_tol=skip_tol)
     stats = stats.sort_values("node").reset_index(drop=True)
 
     tail = stats[stats["pairs"] > 0]

@@ -29,10 +29,11 @@ from pyspark.sql import functions as F
 
 from repro.graphs.graph import CSRGraph, Graph
 
-#: ``expand_sparse`` accumulates into a dense ``bincount`` over the whole key
-#: space when that space is at most this many times the gathered edges (dense
-#: levels), and into ``np.unique`` over the touched keys otherwise (sparse
-#: levels, PRSim's per-source pushes, Algorithm 3's row batches).
+#: ``accumulate`` (the sums of ``expand_sparse`` and of Algorithm 3's Lemma 4)
+#: uses a dense ``bincount`` over the whole key space when that space is at
+#: most this many times the input (dense levels, a few deep heads), and
+#: ``np.unique`` over the touched keys otherwise (sparse levels, PRSim's
+#: per-source pushes, Algorithm 3's row batches).
 DENSE_KEYS_PER_EDGE = 10
 
 SparseVec = Tuple[np.ndarray, np.ndarray]  # (indices int64, values float64)
@@ -102,19 +103,28 @@ def expand_sparse(
     if rows is not None:
         key += np.repeat(rows, counts) * csr.n
         keyspace *= int(rows.max()) + 1
-    # Both accumulators add each key's weights in input order: same sums.
-    if keyspace <= DENSE_KEYS_PER_EDGE * total:
-        acc = np.bincount(key, weights=w, minlength=keyspace)
-        key = np.flatnonzero(np.abs(acc) > prune)
-        acc = acc[key]
-    else:
-        key, inv = np.unique(key, return_inverse=True)
-        acc = np.bincount(inv, weights=w, minlength=key.size)
-        live = np.abs(acc) > prune
-        key, acc = key[live], acc[live]
+    key, acc = accumulate(key, w, keyspace, prune=prune)
     if rows is None:
         return key, acc, total
     return key % csr.n, acc, total, key // csr.n
+
+
+def accumulate(key: np.ndarray, w: np.ndarray, keyspace: int, *, prune: float = 0.0):
+    """Sum ``w`` per key in ``0..keyspace-1``; return the sorted keys whose
+    sum exceeds ``prune`` in magnitude, and those sums.
+
+    A dense ``bincount`` over the whole key space when it is at most
+    ``DENSE_KEYS_PER_EDGE`` times the input, ``np.unique`` over the touched
+    keys otherwise.  Both add each key's weights in input order: same sums.
+    """
+    if keyspace <= DENSE_KEYS_PER_EDGE * key.size:
+        acc = np.bincount(key, weights=w, minlength=keyspace)
+        key = np.flatnonzero(np.abs(acc) > prune)
+        return key, acc[key]
+    key, inv = np.unique(key, return_inverse=True)
+    acc = np.bincount(inv, weights=w, minlength=key.size)
+    live = np.abs(acc) > prune
+    return key[live], acc[live]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """PRSim-lite baseline: index build, eq.-7 query, engines, budgets, oracle."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines import prsim
@@ -37,6 +38,26 @@ def test_preprocess_budget_exceeded():
     g = gen.load("GQ-lite")
     with pytest.raises(prsim.BudgetExceeded):
         prsim.preprocess(g, eps=1e-3, c=C, max_entries=1000, max_pairs=10**6)
+
+
+def test_index_rows_match_per_level_frames():
+    """The index holds every source's truncated levels as ``(ell, k, j, val)``
+    rows in source, level, index order: the same frame as building one
+    frame per non-empty level and concatenating them."""
+    g = gen.load("GQ-lite")
+    eps = 1e-2
+    idx = prsim.preprocess(g, eps=eps, c=C, seed=1, max_pairs=10_000)
+    L, thr = linearized.iterations_for(eps, C), linearized.sparse_threshold(eps, C)
+    frames = []
+    for s in range(g.n):
+        fwd = linearized.forward(g.csr, s, c=C, L=L, threshold=thr)
+        for ell, (k, val) in enumerate(fwd.levels):
+            if k.size:
+                frames.append(pd.DataFrame({"ell": ell, "k": k, "j": np.int64(s), "val": val}))
+    ref = pd.concat(frames, ignore_index=True)
+    ref = ref.astype({"ell": "int64", "k": "int64", "j": "int64", "val": "float64"})
+    pd.testing.assert_frame_equal(idx.index_pdf, ref, check_exact=True)
+    assert idx.entries == len(ref)
 
 
 def test_query_close_to_truth_with_exact_D():

@@ -73,8 +73,8 @@ def test_nonstop_tail_unbiased_on_star():
     d = diagonal.exact_diagonal(g, c=C, tol=1e-14)
     ell0 = 2
     # Exact head at depth 2 via a huge-budget run capped at max_level=2.
-    hr = local_push.meeting_head(g.csr, 0, c=C, budget_edges=10**8, max_level=ell0)
-    exact_tail = (1.0 - hr.z_sum) - d[0]
+    hr = local_push.meeting_head(g.csr, [0], [10**8], c=C, max_level=ell0)
+    exact_tail = (1.0 - hr.z_sum[0]) - d[0]
     rng = np.random.default_rng(3)
     n = 300_000
     met = pair_walks.pair_meet_count(
@@ -162,8 +162,8 @@ def test_batched_kernel_mixed_starts_and_prefixes():
         met_prob = 1.0 - d[k]
         sigma = math.sqrt(met_prob * (1 - met_prob) / R)
         assert abs(1.0 - res.loc[(k, 0), "met"] / R - d[k]) <= 5 * sigma + 1e-12
-        head = local_push.meeting_head(g.csr, k, c=C, budget_edges=10**8, max_level=ell0)
-        exact_tail = (1.0 - head.z_sum) - d[k]
+        head = local_push.meeting_head(g.csr, [k], [10**8], c=C, max_level=ell0)
+        exact_tail = (1.0 - head.z_sum[0]) - d[k]
         q = min(max(exact_tail / C**ell0, 0.0), 1.0)
         sigma = C**ell0 * math.sqrt(q * (1 - q) / R)
         est_tail = C**ell0 * res.loc[(k, ell0), "met"] / R
